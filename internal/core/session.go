@@ -80,10 +80,7 @@ func WithInstanceChooser(f InstanceChooserFactory) SessionOption {
 
 // WithSeed sets the session's deterministic random seed (default 1).
 func WithSeed(seed int64) SessionOption {
-	return func(s *Session) {
-		s.seed = seed
-		s.Rand = rand.New(rand.NewSource(seed))
-	}
+	return func(s *Session) { s.seed = seed }
 }
 
 // WithParallelism sets the pipeline parallelism P: partitionable plans
@@ -110,7 +107,6 @@ func NewSession(dict *Dictionary, m *hw.Machine, opts ...SessionOption) *Session
 		Machine:    m,
 		VectorSize: 1024,
 		Ctx:        NewExecCtx(m),
-		Rand:       rand.New(rand.NewSource(1)),
 		byLabel:    make(map[string]*Instance),
 		decByLabel: make(map[string]*Decision),
 		seed:       1,
@@ -119,6 +115,9 @@ func NewSession(dict *Dictionary, m *hw.Machine, opts ...SessionOption) *Session
 	for _, o := range opts {
 		o(s)
 	}
+	// Seeded once, after the options: a source seeded per option would
+	// be thrown away unused by every WithSeed caller.
+	s.Rand = rand.New(rand.NewSource(s.seed))
 	if s.newChooser == nil {
 		p := DefaultVWParams()
 		s.newChooser = func(n int) Chooser { return NewVWGreedy(n, p, s.Rand) }

@@ -96,6 +96,13 @@ type EncodedScan struct {
 	scratch  []*vector.Vector // per-conjunct decode scratch
 	selA     []int32
 	selB     []int32
+
+	// Operator-owned output, reused on every Next.
+	selCalls, decCalls []core.Call
+	selArgs, decArgs   []primitive.DecompressArgs
+	hdrs               []vector.Vector  // views of flat columns
+	outCols            []*vector.Vector // hdrs entries or decoded vectors
+	out                vector.Batch
 }
 
 // NewEncodedScan builds an encoded scan of the named columns (all when
@@ -170,10 +177,17 @@ func (s *EncodedScan) Open() error {
 		sig := primitive.EncSelSig(p.Op, t)
 		s.selInsts[i] = s.sess.Instance(sig, labelf("%s/%s#%d", s.pushLabel, sig, i))
 	}
+	s.selCalls = make([]core.Call, len(s.preds))
+	s.selArgs = make([]primitive.DecompressArgs, len(s.preds))
 	s.decInsts = make([]*core.Instance, len(s.cols))
+	s.decCalls = make([]core.Call, len(s.cols))
+	s.decArgs = make([]primitive.DecompressArgs, len(s.cols))
+	s.hdrs = make([]vector.Vector, len(s.cols))
+	s.outCols = make([]*vector.Vector, len(s.cols))
 	for j, ci := range s.cols {
 		enc := s.table.Enc.Cols[ci]
 		if storage.Unwrap(enc) != nil {
+			s.outCols[j] = &s.hdrs[j]
 			continue // flat columns stream zero-copy, no decode instance
 		}
 		sig := primitive.DecompressSig(enc.Type())
@@ -204,50 +218,37 @@ func (s *EncodedScan) Next() (*vector.Batch, error) {
 		if sel != nil && len(sel) == 0 {
 			break
 		}
-		call := &core.Call{
-			N:      n,
-			Sel:    sel,
-			In:     []*vector.Vector{s.rhs[i]},
-			SelOut: cur,
-			Aux:    &primitive.DecompressArgs{Col: s.encPred[i], Lo: lo, Scratch: s.scratch[i]},
-		}
+		s.selArgs[i] = primitive.DecompressArgs{Col: s.encPred[i], Lo: lo, Scratch: s.scratch[i]}
+		call := s.selCalls[i].Reset(n, sel, s.rhs[i])
+		call.SelOut, call.Aux = cur, &s.selArgs[i]
 		call.Feat = core.Features{Valid: true, Selectivity: call.Density(),
 			Encoding: s.encPred[i].Encoding().String()}
 		k := s.selInsts[i].Run(s.sess.Ctx, call)
 		sel = cur[:k]
 		cur, spare = spare, cur
 	}
-	_ = spare
 
-	cols := make([]*vector.Vector, len(s.cols))
 	for j, ci := range s.cols {
 		enc := s.table.Enc.Cols[ci]
 		if fv := storage.Unwrap(enc); fv != nil {
-			cols[j] = fv.Slice(lo, lo+n)
+			fv.SliceInto(&s.hdrs[j], lo, lo+n)
 			continue
 		}
-		res := vector.New(enc.Type(), n)
-		res.SetLen(n)
+		res := vector.Reuse(s.outCols[j], enc.Type(), n)
+		s.outCols[j] = res
 		if sel == nil || len(sel) > 0 {
-			call := &core.Call{
-				N:   n,
-				Sel: sel,
-				Res: res,
-				Aux: &primitive.DecompressArgs{Col: enc, Lo: lo},
-			}
+			s.decArgs[j] = primitive.DecompressArgs{Col: enc, Lo: lo}
+			call := s.decCalls[j].Reset(n, sel)
+			call.Res, call.Aux = res, &s.decArgs[j]
 			call.Feat = core.Features{Valid: true, Selectivity: call.Density(),
 				Encoding: enc.Encoding().String()}
 			s.decInsts[j].Run(s.sess.Ctx, call)
 		}
-		cols[j] = res
 	}
 
-	var outSel vector.Sel
-	if sel != nil {
-		outSel = append([]int32{}, sel...)
-	}
 	chargeOp(s.sess, perBatchOverhead)
-	return &vector.Batch{N: n, Sel: outSel, Cols: cols}, nil
+	s.out = vector.Batch{N: n, Sel: sel, Cols: s.outCols}
+	return &s.out, nil
 }
 
 // Close implements Operator.

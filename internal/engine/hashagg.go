@@ -59,7 +59,9 @@ type HashAgg struct {
 
 	// first-value capture for group columns and AggFirst specs
 	firstGroup []capture
-	firstAgg   map[int]*capture
+	firstAgg   []*capture // per aggregate; nil unless AggFirst
+
+	strKeys []*vector.Vector // per group column: stringify scratch
 }
 
 // capture stores first-seen per-group values of one column.
@@ -222,7 +224,7 @@ func (h *HashAgg) build() error {
 	h.accI64 = make([]*primitive.AccI64, len(h.aggs))
 	h.accF64 = make([]*primitive.AccF64, len(h.aggs))
 	avgCount := make([]*primitive.AccI64, len(h.aggs))
-	h.firstAgg = make(map[int]*capture)
+	h.firstAgg = make([]*capture, len(h.aggs))
 	aggInsts := make([]*core.Instance, len(h.aggs))
 	avgCntInsts := make([]*core.Instance, len(h.aggs))
 	for ai, a := range h.aggs {
@@ -262,6 +264,13 @@ func (h *HashAgg) build() error {
 	keyScratch := vector.New(vector.I64, vecSize)
 	gidVec := vector.New(vector.I32, vecSize)
 	widenScratch := vector.New(vector.I64, vecSize)
+	// Calls and key-packing vectors are reused across batches.
+	var insertCall core.Call
+	var concatCalls []core.Call
+	var concatRes []*vector.Vector
+	aggCalls := make([]core.Call, len(h.aggs))
+	cntCalls := make([]core.Call, len(h.aggs))
+	h.strKeys = make([]*vector.Vector, len(h.groupCols))
 
 	for {
 		b, err := h.child.Next()
@@ -290,35 +299,43 @@ func (h *HashAgg) build() error {
 			gids = nil
 		case "i64":
 			primitive.WidenToI64(b.Cols[h.groupCols[0]], b.Sel, b.N, keyScratch)
-			call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{keyScratch}, Res: gidVec, Aux: h.tabI64}
+			call := insertCall.Reset(b.N, b.Sel, keyScratch)
+			call.Res, call.Aux = gidVec, h.tabI64
 			insertInst.Run(h.sess.Ctx, call)
 			gids = gidVec
 			groups = h.tabI64.Groups()
 		case "pack2":
 			h.pack2(b, keyScratch)
-			call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{keyScratch}, Res: gidVec, Aux: h.tabI64}
+			call := insertCall.Reset(b.N, b.Sel, keyScratch)
+			call.Res, call.Aux = gidVec, h.tabI64
 			insertInst.Run(h.sess.Ctx, call)
 			gids = gidVec
 			groups = h.tabI64.Groups()
 		case "str":
-			call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{b.Cols[h.groupCols[0]]}, Res: gidVec, Aux: h.tabStr}
+			call := insertCall.Reset(b.N, b.Sel, b.Cols[h.groupCols[0]])
+			call.Res, call.Aux = gidVec, h.tabStr
 			insertInst.Run(h.sess.Ctx, call)
 			gids = gidVec
 			groups = h.tabStr.Groups()
 		case "multi":
-			keyCol := h.stringify(b, h.groupCols[0])
+			keyCol := h.stringify(b, 0)
 			for ki := 1; ki < len(h.groupCols); ki++ {
-				next := h.stringify(b, h.groupCols[ki])
+				next := h.stringify(b, ki)
 				if len(concatInsts) < ki {
 					concatInsts = append(concatInsts, h.sess.Instance("map_concat_str_col_str_col",
 						labelf("%s/map_concat_str_col_str_col#%d", h.label, ki-1)))
+					concatCalls = append(concatCalls, core.Call{})
+					concatRes = append(concatRes, nil)
 				}
-				res := vector.New(vector.Str, b.N)
-				call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{keyCol, next}, Res: res}
+				res := vector.Reuse(concatRes[ki-1], vector.Str, b.N)
+				concatRes[ki-1] = res
+				call := concatCalls[ki-1].Reset(b.N, b.Sel, keyCol, next)
+				call.Res = res
 				concatInsts[ki-1].Run(h.sess.Ctx, call)
 				keyCol = res
 			}
-			call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{keyCol}, Res: gidVec, Aux: h.tabStr}
+			call := insertCall.Reset(b.N, b.Sel, keyCol)
+			call.Res, call.Aux = gidVec, h.tabStr
 			insertInst.Run(h.sess.Ctx, call)
 			gids = gidVec
 			groups = h.tabStr.Groups()
@@ -355,17 +372,21 @@ func (h *HashAgg) build() error {
 			var call *core.Call
 			switch {
 			case a.Fn == AggCount:
-				call = &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{nil, gids}, Aux: h.accI64[ai]}
+				call = aggCalls[ai].Reset(b.N, b.Sel, nil, gids)
+				call.Aux = h.accI64[ai]
 			case h.accF64[ai] != nil:
-				call = &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{b.Cols[a.Col], gids}, Aux: h.accF64[ai]}
+				call = aggCalls[ai].Reset(b.N, b.Sel, b.Cols[a.Col], gids)
+				call.Aux = h.accF64[ai]
 			default:
 				primitive.WidenToI64(b.Cols[a.Col], b.Sel, b.N, widenScratch)
-				call = &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{widenScratch, gids}, Aux: h.accI64[ai]}
+				call = aggCalls[ai].Reset(b.N, b.Sel, widenScratch, gids)
+				call.Aux = h.accI64[ai]
 			}
 			aggInsts[ai].Run(h.sess.Ctx, call)
 			if a.Fn == AggAvg {
 				avgCount[ai].Grow(groups, 0)
-				cntCall := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{nil, gids}, Aux: avgCount[ai]}
+				cntCall := cntCalls[ai].Reset(b.N, b.Sel, nil, gids)
+				cntCall.Aux = avgCount[ai]
 				avgCntInsts[ai].Run(h.sess.Ctx, cntCall)
 			}
 		}
@@ -454,7 +475,7 @@ func (h *HashAgg) captureFirst(b *vector.Batch, gids *vector.Vector, groups int)
 			}
 		}
 		for ai, cp := range h.firstAgg {
-			if int(g) == cp.len() {
+			if cp != nil && int(g) == cp.len() {
 				cp.add(b.Cols[h.aggs[ai].Col], i)
 			}
 		}
@@ -494,14 +515,16 @@ func (h *HashAgg) pack2(b *vector.Batch, res *vector.Vector) {
 	h.sess.Ctx.OperatorCycles += 2 * float64(b.Live())
 }
 
-// stringify converts a column to strings for composite keys (plain Go:
-// key packing is not part of the paper's flavor sets).
-func (h *HashAgg) stringify(b *vector.Batch, col int) *vector.Vector {
-	src := b.Cols[col]
+// stringify converts the ki-th group column to strings for composite keys
+// (plain Go: key packing is not part of the paper's flavor sets), into a
+// per-key scratch vector reused across batches.
+func (h *HashAgg) stringify(b *vector.Batch, ki int) *vector.Vector {
+	src := b.Cols[h.groupCols[ki]]
 	if src.Type() == vector.Str {
 		return src
 	}
-	out := vector.New(vector.Str, b.N)
+	out := vector.Reuse(h.strKeys[ki], vector.Str, b.N)
+	h.strKeys[ki] = out
 	s := out.Str()
 	conv := func(i int32) {
 		switch src.Type() {
@@ -520,7 +543,6 @@ func (h *HashAgg) stringify(b *vector.Batch, col int) *vector.Vector {
 			conv(int32(i))
 		}
 	}
-	out.SetLen(b.N)
 	h.sess.Ctx.OperatorCycles += 8 * float64(b.Live())
 	return out
 }

@@ -86,6 +86,14 @@ type Join struct {
 	rowScratch  *vector.Vector
 	selA, selB  []int32
 	probeKeyIdx int // probe-side key column, resolved once in Open
+
+	// Operator-owned output, reused on every Next.
+	bloomCall, lookupCall core.Call
+	fetchCalls            []core.Call
+	payloadVecs           []*vector.Vector // fetched payload columns
+	emptyPayload          []*vector.Vector // zero-length payload columns
+	cols                  []*vector.Vector
+	out                   vector.Batch
 }
 
 // JoinOption configures a Join.
@@ -247,9 +255,13 @@ func (h *Join) Open() error {
 	if h.kind == InnerJoin {
 		h.fetchInsts = make([]*core.Instance, len(h.payload))
 		h.payloadIdx = make([]int, len(h.payload))
+		h.fetchCalls = make([]core.Call, len(h.payload))
+		h.payloadVecs = make([]*vector.Vector, len(h.payload))
+		h.emptyPayload = make([]*vector.Vector, len(h.payload))
 		for i, name := range h.payload {
 			idx := tab.Sch.MustIndexOf(name)
 			h.payloadIdx[i] = idx
+			h.emptyPayload[i] = vector.New(tab.Sch[idx].Type, 0)
 			fsig := primitive.FetchSig(tab.Sch[idx].Type)
 			h.fetchInsts[i] = h.sess.Instance(fsig, labelf("%s/%s#%d", h.label, fsig, i))
 		}
@@ -275,22 +287,20 @@ func (h *Join) probeAux() interface{} {
 }
 
 // Next implements Operator. Empty probe batches pass through without any
-// primitive calls.
+// primitive calls. The output carries the probe batch's columns, the
+// operator's fetched payload vectors, and its lookup selection buffer.
 func (h *Join) Next() (*vector.Batch, error) {
 	b, err := h.probe.Next()
 	if err != nil || b == nil {
 		return nil, err
 	}
+	cols := append(h.cols[:0], b.Cols...)
 	if b.Live() == 0 {
-		cols := make([]*vector.Vector, 0, len(h.Schema()))
-		cols = append(cols, b.Cols...)
-		if h.kind == InnerJoin {
-			for _, idx := range h.payloadIdx {
-				cols = append(cols, vector.New(h.buildTab.Sch[idx].Type, 0))
-			}
-		}
+		cols = append(cols, h.emptyPayload...)
+		h.cols = cols
 		chargeOp(h.sess, perBatchOverhead)
-		return &vector.Batch{N: b.N, Sel: []int32{}, Cols: cols}, nil
+		h.out = vector.Batch{N: b.N, Sel: h.selB[:0], Cols: cols}
+		return &h.out, nil
 	}
 	if b.N > len(h.selA) {
 		// Probe batches wider than the session's vector size (a child fed
@@ -306,29 +316,31 @@ func (h *Join) Next() (*vector.Batch, error) {
 
 	sel := b.Sel
 	if h.filter != nil {
-		call := &core.Call{N: b.N, Sel: sel, In: []*vector.Vector{h.keyScratch}, SelOut: h.selA, Aux: h.filter}
+		call := h.bloomCall.Reset(b.N, sel, h.keyScratch)
+		call.SelOut, call.Aux = h.selA, h.filter
 		k := h.bloomInst.Run(h.sess.Ctx, call)
 		sel = h.selA[:k]
 	}
-	call := &core.Call{N: b.N, Sel: sel, In: []*vector.Vector{h.keyScratch}, SelOut: h.selB, Res: h.rowScratch, Aux: h.probeAux()}
+	call := h.lookupCall.Reset(b.N, sel, h.keyScratch)
+	call.SelOut, call.Res, call.Aux = h.selB, h.rowScratch, h.probeAux()
 	k := h.lookupInst.Run(h.sess.Ctx, call)
-	outSel := make([]int32, k)
-	copy(outSel, h.selB[:k])
+	outSel := h.selB[:k]
 
-	cols := make([]*vector.Vector, 0, len(h.Schema()))
-	cols = append(cols, b.Cols...)
 	if h.kind == InnerJoin {
 		for i, idx := range h.payloadIdx {
 			src := h.buildTab.Cols[idx]
-			res := vector.New(src.Type(), b.N)
-			res.SetLen(b.N)
-			fc := &core.Call{N: b.N, Sel: outSel, In: []*vector.Vector{h.rowScratch, src}, Res: res}
+			res := vector.Reuse(h.payloadVecs[i], src.Type(), b.N)
+			h.payloadVecs[i] = res
+			fc := h.fetchCalls[i].Reset(b.N, outSel, h.rowScratch, src)
+			fc.Res = res
 			h.fetchInsts[i].Run(h.sess.Ctx, fc)
 			cols = append(cols, res)
 		}
 	}
+	h.cols = cols
 	chargeOp(h.sess, perBatchOverhead)
-	return &vector.Batch{N: b.N, Sel: outSel, Cols: cols}, nil
+	h.out = vector.Batch{N: b.N, Sel: outSel, Cols: cols}
+	return &h.out, nil
 }
 
 // Close implements Operator: the decisions learn here, once the chosen

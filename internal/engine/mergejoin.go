@@ -33,6 +33,13 @@ type MergeJoin struct {
 	fetchSide []bool // true = left
 	fetchIdx  []int
 	done      bool
+
+	// Operator-owned output, reused on every Next.
+	joinCall   core.Call
+	fetchCalls []core.Call
+	lIdx, rIdx *vector.Vector // views of the state's LOut / ROut
+	cols       []*vector.Vector
+	out        vector.Batch
 }
 
 // NewMergeJoin builds a merge join emitting leftOut columns from the left
@@ -92,6 +99,10 @@ func (m *MergeJoin) Open() error {
 		m.fetchSide = append(m.fetchSide, false)
 		m.fetchIdx = append(m.fetchIdx, idx)
 	}
+	m.fetchCalls = make([]core.Call, len(m.fetchInst))
+	m.cols = make([]*vector.Vector, len(m.fetchInst))
+	m.lIdx = vector.FromI32(m.state.LOut)
+	m.rIdx = vector.FromI32(m.state.ROut)
 	m.done = false
 	return nil
 }
@@ -102,7 +113,8 @@ func (m *MergeJoin) Next() (*vector.Batch, error) {
 		return nil, nil
 	}
 	vs := m.sess.VectorSize
-	call := &core.Call{N: vs, Aux: m.state}
+	call := m.joinCall.Reset(vs, nil)
+	call.Aux = m.state
 	produced := m.joinInst.Run(m.sess.Ctx, call)
 	if m.state.Done() {
 		m.done = true
@@ -111,26 +123,28 @@ func (m *MergeJoin) Next() (*vector.Batch, error) {
 		if m.done {
 			return nil, nil
 		}
-		return &vector.Batch{N: 0}, nil
+		m.out = vector.Batch{N: 0}
+		return &m.out, nil
 	}
 
-	lIdx := vector.FromI32(m.state.LOut[:produced])
-	rIdx := vector.FromI32(m.state.ROut[:produced])
-	cols := make([]*vector.Vector, len(m.fetchInst))
+	m.lIdx.SetLen(produced)
+	m.rIdx.SetLen(produced)
 	for i := range m.fetchInst {
-		srcTab, idxVec := m.rtab, rIdx
+		srcTab, idxVec := m.rtab, m.rIdx
 		if m.fetchSide[i] {
-			srcTab, idxVec = m.ltab, lIdx
+			srcTab, idxVec = m.ltab, m.lIdx
 		}
 		src := srcTab.Cols[m.fetchIdx[i]]
-		res := vector.New(src.Type(), produced)
+		res := vector.Reuse(m.cols[i], src.Type(), vs)
 		res.SetLen(produced)
-		fc := &core.Call{N: produced, Cap: vs, In: []*vector.Vector{idxVec, src}, Res: res}
+		m.cols[i] = res
+		fc := m.fetchCalls[i].Reset(produced, nil, idxVec, src)
+		fc.Cap, fc.Res = vs, res
 		m.fetchInst[i].Run(m.sess.Ctx, fc)
-		cols[i] = res
 	}
 	chargeOp(m.sess, perBatchOverhead)
-	return &vector.Batch{N: produced, Cols: cols}, nil
+	m.out = vector.Batch{N: produced, Cols: m.cols}
+	return &m.out, nil
 }
 
 // Close implements Operator.

@@ -7,6 +7,13 @@
 // adaptive primitive instances of a core.Session, exactly separating
 // control logic (operators) from data processing logic (primitives) as
 // described in §1 of the paper.
+//
+// As in Vectorwise, each operator owns its output batch, vectors,
+// selection buffers and primitive calls. It allocates them on first use,
+// grows them only when a batch is wider than any before, and overwrites
+// them on every Next, so a steady-state pipeline allocates nothing per
+// batch. A batch returned by Next is therefore valid only until the
+// operator's next Next or Close; Run and Materialize copy what they keep.
 package engine
 
 import (
@@ -24,7 +31,10 @@ type Operator interface {
 	// Open prepares the operator (and its children) for execution.
 	Open() error
 	// Next returns the next batch or nil at end of stream. Returned
-	// batches may carry a selection vector.
+	// batches may carry a selection vector. The batch, its selection and
+	// its vectors belong to the operator (or to a table it streams) and
+	// stay valid only until the next Next or Close: a consumer that keeps
+	// tuples longer copies them (vector.Batch.CompactInto, Materialize).
 	Next() (*vector.Batch, error)
 	// Close releases resources; it must be called exactly once.
 	Close()
@@ -68,14 +78,14 @@ func Drain(op Operator, yield func(*vector.Batch) error) error {
 
 // Run drains an operator, returning its batches compacted (selection
 // applied, one vector.Batch.CompactInto(nil) each). Because every batch is
-// retained, each one needs its own storage — callers that only stream over
-// the output should use Drain (raw batches) or Materialize (gathers live
-// tuples straight into growing columns) instead, which allocate no fresh
-// vectors per batch.
+// retained past the operator's next Next, each one is copied into its own
+// storage — callers that only stream over the output should use Drain
+// (raw batches) or Materialize (gathers live tuples straight into growing
+// columns) instead, which allocate no fresh vectors per batch.
 func Run(op Operator) ([]*vector.Batch, error) {
 	var out []*vector.Batch
 	err := Drain(op, func(b *vector.Batch) error {
-		out = append(out, b.Compact())
+		out = append(out, b.CompactInto(nil))
 		return nil
 	})
 	if err != nil {

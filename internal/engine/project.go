@@ -25,8 +25,12 @@ type Project struct {
 	exprs []ProjExpr
 	label string
 
-	sch vector.Schema
-	ev  *expr.Evaluator
+	sch   vector.Schema
+	ev    *expr.Evaluator
+	bcast []*vector.Vector // per expression: a constant broadcast across the batch
+	empty []*vector.Vector // zero-length columns of the empty batch
+	cols  []*vector.Vector
+	out   vector.Batch
 }
 
 // NewProject builds a Project over child producing exactly exprs.
@@ -51,39 +55,44 @@ func (p *Project) Open() error {
 		return err
 	}
 	p.ev = expr.NewEvaluator(p.sess, p.child.Schema(), p.label)
+	p.bcast = make([]*vector.Vector, len(p.exprs))
+	p.cols = make([]*vector.Vector, len(p.exprs))
+	p.empty = make([]*vector.Vector, len(p.exprs))
+	for i, c := range p.Schema() {
+		p.empty[i] = vector.New(c.Type, 0)
+	}
 	return nil
 }
 
 // Next implements Operator. Expressions are not evaluated for empty
-// batches; primitives never see zero live tuples.
+// batches; primitives never see zero live tuples. The output columns are
+// the evaluator's scratch vectors (reset per batch), the operator's
+// broadcast vectors, or the child's own columns passed through.
 func (p *Project) Next() (*vector.Batch, error) {
 	b, err := p.child.Next()
 	if err != nil || b == nil {
 		return nil, err
 	}
 	if b.Live() == 0 {
-		sch := p.Schema()
-		cols := make([]*vector.Vector, len(sch))
-		for i, c := range sch {
-			cols[i] = vector.New(c.Type, 0)
-		}
 		chargeOp(p.sess, perBatchOverhead)
-		return &vector.Batch{N: 0, Cols: cols}, nil
+		p.out = vector.Batch{N: 0, Cols: p.empty}
+		return &p.out, nil
 	}
-	cols := make([]*vector.Vector, len(p.exprs))
+	p.ev.Reset()
 	for i, e := range p.exprs {
 		v := e.Expr.Eval(p.ev, b)
 		if v.Len() == 1 && b.N != 1 {
 			// Broadcast a constant across the batch.
-			bc := vector.New(v.Type(), b.N)
-			bc.SetLen(b.N)
+			bc := vector.Reuse(p.bcast[i], v.Type(), b.N)
+			p.bcast[i] = bc
 			broadcast(v, bc, b.N)
 			v = bc
 		}
-		cols[i] = v
+		p.cols[i] = v
 	}
 	chargeOp(p.sess, perBatchOverhead)
-	return &vector.Batch{N: b.N, Sel: b.Sel, Cols: cols}, nil
+	p.out = vector.Batch{N: b.N, Sel: b.Sel, Cols: p.cols}
+	return &p.out, nil
 }
 
 func broadcast(src, dst *vector.Vector, n int) {

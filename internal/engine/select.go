@@ -73,8 +73,10 @@ type Select struct {
 
 	insts []*core.Instance
 	rhs   []*vector.Vector // constant vectors per pred
+	calls []core.Call      // one per pred, reused on every batch
 	selA  []int32
 	selB  []int32
+	out   vector.Batch
 }
 
 // NewSelect builds a Select. label prefixes the primitive-instance names.
@@ -95,6 +97,7 @@ func (s *Select) Open() error {
 	s.selB = make([]int32, s.sess.VectorSize)
 	s.insts = make([]*core.Instance, len(s.preds))
 	s.rhs = make([]*vector.Vector, len(s.preds))
+	s.calls = make([]core.Call, len(s.preds))
 	for i, p := range s.preds {
 		t := sch[p.Col].Type
 		var sig string
@@ -136,7 +139,8 @@ func (s *Select) Open() error {
 
 // Next implements Operator. Empty inputs skip the remaining predicates
 // entirely — as in Vectorwise, primitives are never called on empty
-// selection vectors (learning from zero-tuple calls is meaningless).
+// selection vectors (learning from zero-tuple calls is meaningless). The
+// output selection is one of the operator's two ping-pong buffers.
 func (s *Select) Next() (*vector.Batch, error) {
 	b, err := s.child.Next()
 	if err != nil || b == nil {
@@ -144,7 +148,8 @@ func (s *Select) Next() (*vector.Batch, error) {
 	}
 	if b.Live() == 0 {
 		chargeOp(s.sess, perBatchOverhead)
-		return &vector.Batch{N: b.N, Sel: []int32{}, Cols: b.Cols}, nil
+		s.out = vector.Batch{N: b.N, Sel: s.selA[:0], Cols: b.Cols}
+		return &s.out, nil
 	}
 	if b.N > len(s.selA) {
 		// A child may hand over batches wider than this session's vector
@@ -160,11 +165,12 @@ func (s *Select) Next() (*vector.Batch, error) {
 		if sel != nil && len(sel) == 0 {
 			break
 		}
-		in := []*vector.Vector{b.Cols[p.Col], s.rhs[i]}
+		rhs := s.rhs[i]
 		if p.RHSCol >= 0 {
-			in[1] = b.Cols[p.RHSCol]
+			rhs = b.Cols[p.RHSCol]
 		}
-		call := &core.Call{N: b.N, Sel: sel, In: in, SelOut: cur}
+		call := s.calls[i].Reset(b.N, sel, b.Cols[p.Col], rhs)
+		call.SelOut = cur
 		// Per-batch context: the incoming selection density — what earlier
 		// conjuncts (or the child) left alive — known before the call runs,
 		// unlike this predicate's own selectivity.
@@ -173,11 +179,9 @@ func (s *Select) Next() (*vector.Batch, error) {
 		sel = cur[:k]
 		cur, spare = spare, cur
 	}
-	_ = spare
-	out := make([]int32, len(sel))
-	copy(out, sel)
 	chargeOp(s.sess, perBatchOverhead)
-	return &vector.Batch{N: b.N, Sel: out, Cols: b.Cols}, nil
+	s.out = vector.Batch{N: b.N, Sel: sel, Cols: b.Cols}
+	return &s.out, nil
 }
 
 // Close implements Operator.

@@ -97,7 +97,8 @@ func Rename(t *Table, names map[string]string) *Table {
 }
 
 // Scan streams a table — or a contiguous row range of it — in vector-size
-// batches (zero-copy column slices).
+// batches (zero-copy column slices). The batch and its vector headers are
+// the scan's own: every Next re-points them at the next row range.
 type Scan struct {
 	sess   *core.Session
 	table  *Table
@@ -105,6 +106,9 @@ type Scan struct {
 	sch    vector.Schema
 	lo, hi int // row range [lo, hi)
 	pos    int
+
+	out  vector.Batch
+	hdrs []vector.Vector // one view header per output column
 }
 
 // NewScan builds a scan of the named columns (all columns when empty).
@@ -160,12 +164,19 @@ func (s *Scan) Next() (*vector.Batch, error) {
 		hi = s.hi
 	}
 	s.pos = hi
-	cols := make([]*vector.Vector, len(s.cols))
-	for i, ci := range s.cols {
-		cols[i] = s.table.Cols[ci].Slice(lo, hi)
+	if s.hdrs == nil {
+		s.hdrs = make([]vector.Vector, len(s.cols))
+		s.out.Cols = make([]*vector.Vector, len(s.cols))
+		for i := range s.hdrs {
+			s.out.Cols[i] = &s.hdrs[i]
+		}
 	}
+	for i, ci := range s.cols {
+		s.table.Cols[ci].SliceInto(&s.hdrs[i], lo, hi)
+	}
+	s.out.N, s.out.Sel = hi-lo, nil
 	chargeOp(s.sess, perBatchOverhead)
-	return &vector.Batch{N: hi - lo, Cols: cols}, nil
+	return &s.out, nil
 }
 
 // Close implements Operator.

@@ -7,6 +7,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 
 	"microadapt/internal/core"
 	"microadapt/internal/primitive"
@@ -38,8 +39,12 @@ type ConstI64 struct{ V int64 }
 // Type implements Node.
 func (c *ConstI64) Type(vector.Schema) vector.Type { return vector.I64 }
 
-// Eval implements Node.
-func (c *ConstI64) Eval(*Evaluator, *vector.Batch) *vector.Vector { return vector.ConstI64(c.V) }
+// Eval implements Node: a one-tuple scratch vector holding the literal.
+func (c *ConstI64) Eval(ev *Evaluator, _ *vector.Batch) *vector.Vector {
+	v := ev.scratch(vector.I64, 1)
+	v.I64()[0] = c.V
+	return v
+}
 
 // ConstI32 is an int32 literal.
 type ConstI32 struct{ V int32 }
@@ -47,8 +52,12 @@ type ConstI32 struct{ V int32 }
 // Type implements Node.
 func (c *ConstI32) Type(vector.Schema) vector.Type { return vector.I32 }
 
-// Eval implements Node.
-func (c *ConstI32) Eval(*Evaluator, *vector.Batch) *vector.Vector { return vector.ConstI32(c.V) }
+// Eval implements Node: a one-tuple scratch vector holding the literal.
+func (c *ConstI32) Eval(ev *Evaluator, _ *vector.Batch) *vector.Vector {
+	v := ev.scratch(vector.I32, 1)
+	v.I32()[0] = c.V
+	return v
+}
 
 // ConstF64 is a float64 literal.
 type ConstF64 struct{ V float64 }
@@ -56,8 +65,12 @@ type ConstF64 struct{ V float64 }
 // Type implements Node.
 func (c *ConstF64) Type(vector.Schema) vector.Type { return vector.F64 }
 
-// Eval implements Node.
-func (c *ConstF64) Eval(*Evaluator, *vector.Batch) *vector.Vector { return vector.ConstF64(c.V) }
+// Eval implements Node: a one-tuple scratch vector holding the literal.
+func (c *ConstF64) Eval(ev *Evaluator, _ *vector.Batch) *vector.Vector {
+	v := ev.scratch(vector.F64, 1)
+	v.F64()[0] = c.V
+	return v
+}
 
 // isConst reports whether a node is a literal (evaluates to a 1-tuple
 // vector used as a _val parameter).
@@ -91,11 +104,8 @@ func Div(l, r Node) *BinOp { return &BinOp{Op: "/", L: l, R: r} }
 // Type implements Node.
 func (n *BinOp) Type(s vector.Schema) vector.Type { return n.L.Type(s) }
 
-// Eval implements Node.
-func (n *BinOp) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
-	t := n.Type(ev.Schema)
-	lv := n.L.Eval(ev, b)
-	rv := n.R.Eval(ev, b)
+// sig returns the map-primitive signature of the node under schema s.
+func (n *BinOp) sig(s vector.Schema) string {
 	shape := "col_col"
 	switch {
 	case isConst(n.R):
@@ -103,11 +113,21 @@ func (n *BinOp) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	case isConst(n.L):
 		shape = "val_col"
 	}
-	sig := primitive.MapSig(n.Op, t, shape)
-	inst := ev.instance(n, sig)
-	res := ev.scratch(t, b.N)
-	call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{lv, rv}, Res: res}
-	inst.Run(ev.Sess.Ctx, call)
+	return primitive.MapSig(n.Op, n.Type(s), shape)
+}
+
+// Eval implements Node.
+func (n *BinOp) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
+	lv := n.L.Eval(ev, b)
+	rv := n.R.Eval(ev, b)
+	site := ev.sites[n]
+	if site == nil {
+		site = ev.newSite(n, n.sig(ev.Schema))
+	}
+	res := ev.scratch(n.Type(ev.Schema), b.N)
+	call := site.call.Reset(b.N, b.Sel, lv, rv)
+	call.Res = res
+	site.inst.Run(ev.Sess.Ctx, call)
 	return res
 }
 
@@ -150,12 +170,10 @@ func (n *CaseInStr) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	in := n.Col.Eval(ev, b).Str()
 	res := ev.scratch(vector.I64, b.N)
 	out := res.I64()
-	set := make(map[string]bool, len(n.Values))
-	for _, v := range n.Values {
-		set[v] = true
-	}
+	// CASE IN lists are a handful of literals: a linear scan beats a map
+	// built per batch.
 	eval1 := func(i int32) {
-		if set[in[i]] {
+		if slices.Contains(n.Values, in[i]) {
 			out[i] = n.Then
 		} else {
 			out[i] = n.Else
@@ -170,45 +188,63 @@ func (n *CaseInStr) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 			eval1(int32(i))
 		}
 	}
-	res.SetLen(b.N)
 	ev.Sess.Ctx.OperatorCycles += 4 * float64(b.Live())
 	return res
 }
 
 // Evaluator evaluates expressions for one operator. It owns the primitive
-// instances of its expression nodes (one instance per node, labelled
-// uniquely within the query) and a small scratch-vector arena.
+// call sites of its expression nodes (one instance and one reusable Call
+// per node, labelled uniquely within the query) and an arena of scratch
+// vectors that hold intermediate and final results.
 type Evaluator struct {
 	Sess   *core.Session
 	Schema vector.Schema
 	Prefix string // label prefix, e.g. "Q1/project0"
 
-	insts  map[Node]*core.Instance
+	sites  map[Node]*callSite
 	nextID int
+
+	slots []*vector.Vector // scratch vectors in evaluation order
+	next  int              // first slot not yet handed out since Reset
+}
+
+// callSite is the primitive instance of one expression node plus the Call
+// it reuses on every batch.
+type callSite struct {
+	inst *core.Instance
+	call core.Call
 }
 
 // NewEvaluator builds an evaluator for the operator named by prefix.
 func NewEvaluator(sess *core.Session, schema vector.Schema, prefix string) *Evaluator {
-	return &Evaluator{Sess: sess, Schema: schema, Prefix: prefix, insts: make(map[Node]*core.Instance)}
+	return &Evaluator{Sess: sess, Schema: schema, Prefix: prefix, sites: make(map[Node]*callSite)}
 }
 
-// instance memoizes the primitive instance of an expression node.
-func (ev *Evaluator) instance(n Node, sig string) *core.Instance {
-	if inst, ok := ev.insts[n]; ok {
-		return inst
-	}
+// newSite creates the call site of an expression node, resolving its
+// primitive instance under the next plan-unique label.
+func (ev *Evaluator) newSite(n Node, sig string) *callSite {
 	label := fmt.Sprintf("%s/%s#%d", ev.Prefix, sig, ev.nextID)
 	ev.nextID++
-	inst := ev.Sess.Instance(sig, label)
-	ev.insts[n] = inst
-	return inst
+	site := &callSite{inst: ev.Sess.Instance(sig, label)}
+	ev.sites[n] = site
+	return site
 }
 
-// scratch allocates a result vector. Vectors are small (vector-size), so a
-// fresh allocation per call keeps aliasing rules trivial; the virtual cost
-// model is unaffected.
+// Reset starts a new batch: scratch vectors handed out since the last
+// Reset are recycled, so results of the previous batch are overwritten.
+// An evaluator that is never reset hands out fresh vectors on every call.
+func (ev *Evaluator) Reset() { ev.next = 0 }
+
+// scratch returns the next scratch vector, of type t and length n. The
+// nodes of a tree are evaluated in the same order on every batch, so each
+// slot keeps serving the same node and reallocates only when a batch is
+// wider than before.
 func (ev *Evaluator) scratch(t vector.Type, n int) *vector.Vector {
-	v := vector.New(t, n)
-	v.SetLen(n)
+	if ev.next == len(ev.slots) {
+		ev.slots = append(ev.slots, nil)
+	}
+	v := vector.Reuse(ev.slots[ev.next], t, n)
+	ev.slots[ev.next] = v
+	ev.next++
 	return v
 }

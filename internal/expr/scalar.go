@@ -175,10 +175,11 @@ func (n *CaseLikeStr) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	in := n.Col.Eval(ev, b).Str()
 	res := ev.scratch(vector.I64, b.N)
 	out := res.I64()
-	match := n.Match
-	if match == nil {
-		pattern := n.Pattern
-		match = func(s string) bool { return primitive.LikeMatch(s, pattern) }
+	match := func(s string) bool {
+		if n.Match != nil {
+			return n.Match(s)
+		}
+		return primitive.LikeMatch(s, n.Pattern)
 	}
 	apply := func(i int32) {
 		if match(in[i]) {

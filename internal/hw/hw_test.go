@@ -137,85 +137,6 @@ func TestBranchPredictorHump(t *testing.T) {
 	}
 }
 
-func TestCacheBasics(t *testing.T) {
-	c := NewCache(1024, 64, 4) // 16 lines, 4 sets
-	if miss := c.Access(0); !miss {
-		t.Error("first access must miss")
-	}
-	if miss := c.Access(0); miss {
-		t.Error("second access to same line must hit")
-	}
-	if miss := c.Access(63); miss {
-		t.Error("same cache line must hit")
-	}
-	if miss := c.Access(64); !miss {
-		t.Error("next line must miss")
-	}
-	acc, misses := c.Stats()
-	if acc != 4 || misses != 2 {
-		t.Errorf("stats = %d/%d, want 4/2", acc, misses)
-	}
-	c.Flush()
-	if acc, _ := c.Stats(); acc != 0 {
-		t.Error("flush must clear stats")
-	}
-	if !c.Access(0) {
-		t.Error("post-flush access must miss")
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	// Direct-mapped-ish: 1 set, 2 ways.
-	c := NewCache(128, 64, 2)
-	c.Access(0)   // miss, cache {0}
-	c.Access(64)  // miss, cache {64,0}
-	c.Access(0)   // hit, order {0,64}
-	c.Access(128) // miss, evicts 64
-	if c.Access(0) {
-		t.Error("0 should still be cached (was MRU)")
-	}
-	if !c.Access(64) {
-		t.Error("64 should have been evicted (was LRU)")
-	}
-}
-
-func TestCacheWorkingSetMissRates(t *testing.T) {
-	c := NewCache(64<<10, 64, 8)
-	rng := rand.New(rand.NewSource(2))
-	// Working set half the cache: near-zero steady-state misses.
-	for i := 0; i < 200000; i++ {
-		c.Access(uint64(rng.Intn(32 << 10)))
-	}
-	c2 := NewCache(64<<10, 64, 8)
-	for i := 0; i < 200000; i++ {
-		c2.Access(uint64(rng.Intn(1 << 20))) // 16x cache
-	}
-	small := c.MissRate()
-	big := c2.MissRate()
-	if small > 0.01 {
-		t.Errorf("fitting working set miss rate = %v, want ~0", small)
-	}
-	if big < 0.5 {
-		t.Errorf("16x working set miss rate = %v, want > 0.5", big)
-	}
-}
-
-func TestCachePanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewCache(1024, 60, 4) }, // non-power-of-two line
-		func() { NewCache(1024, 64, 0) }, // zero associativity
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestCodegenProfiles(t *testing.T) {
 	gcc, icc, clang := GCC(), ICC(), Clang()
 	m1, m3 := Machine1(), Machine3()

@@ -11,8 +11,7 @@
 // primitive call is a mechanistic function of the same data-dependent
 // quantities that drive the effects in the paper: actual branch outcomes run
 // through a simulated 2-bit predictor, actual working-set sizes run through
-// a miss-ratio model or the set-associative cache simulator, selection
-// density, data type width, and unrolling.
+// a miss-ratio model, selection density, data type width, and unrolling.
 //
 // Everything is deterministic: the same inputs produce the same cycle
 // counts on any host, which makes the paper's figures reproducible exactly.

@@ -71,24 +71,14 @@ func NewBatch(cols ...*Vector) *Batch {
 	return &Batch{N: n, Cols: cols}
 }
 
-// Compact materializes the selection: it copies the live tuples of every
-// column to the front and clears Sel. It allocates fresh vectors; use
-// CompactInto to reuse a destination batch across a drain loop.
-func (b *Batch) Compact() *Batch {
-	if b.Sel == nil {
-		return b
-	}
-	return b.CompactInto(nil)
-}
-
-// CompactInto compacts b into dst, reusing dst's vectors whenever their type
-// matches and their capacity holds the live count — the reusable-destination
-// variant of Compact for drain loops that process one compacted batch at a
-// time instead of retaining them all. A nil dst (or one with missing /
-// undersized / wrongly-typed columns) allocates what it needs. It returns
-// the destination batch; b itself is never modified. When b carries no
-// selection the copy is still performed, so the returned batch never aliases
-// b's vectors.
+// CompactInto materializes the selection of b into dst: it copies the live
+// tuples of every column to the front of dst's vectors and clears Sel,
+// reusing dst's vectors whenever their type matches and their capacity
+// holds the live count. A nil dst (or one with missing / undersized /
+// wrongly-typed columns) allocates what it needs, so CompactInto(nil) is
+// a deep copy that outlives b. It returns the destination batch; b itself
+// is never modified. When b carries no selection the copy is still
+// performed, so the returned batch never aliases b's vectors.
 func (b *Batch) CompactInto(dst *Batch) *Batch {
 	k := b.Live()
 	if dst == nil {
@@ -100,12 +90,8 @@ func (b *Batch) CompactInto(dst *Batch) *Batch {
 		dst.Cols = make([]*Vector, len(b.Cols))
 	}
 	for ci, c := range b.Cols {
-		nc := dst.Cols[ci]
-		if nc == nil || nc.Type() != c.Type() || nc.Cap() < k {
-			nc = New(c.Type(), k)
-			dst.Cols[ci] = nc
-		}
-		nc.SetLen(k)
+		nc := Reuse(dst.Cols[ci], c.Type(), k)
+		dst.Cols[ci] = nc
 		if b.Sel == nil {
 			switch c.Type() {
 			case I16:

@@ -60,8 +60,4 @@ func TestCompactIntoNoSelectionCopies(t *testing.T) {
 	if src.I64()[0] != 1 {
 		t.Error("mutation leaked into source")
 	}
-	// Compact, by contrast, stays zero-copy for nil selections.
-	if b.Compact() != b {
-		t.Error("Compact copied a selection-free batch")
-	}
 }

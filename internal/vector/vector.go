@@ -207,20 +207,40 @@ func (v *Vector) check(t Type) {
 
 // Slice returns a zero-copy view of tuples [lo, hi).
 func (v *Vector) Slice(lo, hi int) *Vector {
-	out := &Vector{typ: v.typ, n: hi - lo}
+	out := &Vector{}
+	v.SliceInto(out, lo, hi)
+	return out
+}
+
+// SliceInto re-points dst at a zero-copy view of tuples [lo, hi) of v,
+// replacing whatever dst viewed before. It is Slice for operators that
+// keep one vector header per output column across batches.
+func (v *Vector) SliceInto(dst *Vector, lo, hi int) {
+	*dst = Vector{typ: v.typ, n: hi - lo}
 	switch v.typ {
 	case I16:
-		out.i16 = v.i16[lo:hi]
+		dst.i16 = v.i16[lo:hi]
 	case I32:
-		out.i32 = v.i32[lo:hi]
+		dst.i32 = v.i32[lo:hi]
 	case I64:
-		out.i64 = v.i64[lo:hi]
+		dst.i64 = v.i64[lo:hi]
 	case F64:
-		out.f64 = v.f64[lo:hi]
+		dst.f64 = v.f64[lo:hi]
 	case Str:
-		out.str = v.str[lo:hi]
+		dst.str = v.str[lo:hi]
 	}
-	return out
+}
+
+// Reuse returns v with length n when it has type t and capacity for n
+// tuples, and a new vector of type t and length n otherwise. Operators
+// keep their output and scratch vectors in it across batches, so a vector
+// is allocated once and grows only when a batch is wider than before.
+func Reuse(v *Vector, t Type, n int) *Vector {
+	if v == nil || v.typ != t || v.Cap() < n {
+		v = New(t, n)
+	}
+	v.n = n
+	return v
 }
 
 // Clone returns a deep copy of the live prefix of v.

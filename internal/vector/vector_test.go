@@ -76,6 +76,39 @@ func TestSliceZeroCopy(t *testing.T) {
 	}
 }
 
+func TestSliceIntoRepointsHeader(t *testing.T) {
+	hdr := FromStr([]string{"stale"})
+	ints := FromI32([]int32{1, 2, 3, 4, 5})
+	ints.SliceInto(hdr, 2, 5)
+	if hdr.Type() != I32 || hdr.Len() != 3 || hdr.Cap() != 3 || hdr.I32()[0] != 3 {
+		t.Fatalf("SliceInto view = %s len %d cap %d", hdr.Type(), hdr.Len(), hdr.Cap())
+	}
+	hdr.I32()[0] = 99
+	if ints.I32()[2] != 99 {
+		t.Error("SliceInto copied the data")
+	}
+	FromI64([]int64{7, 8}).SliceInto(hdr, 0, 1)
+	if hdr.Type() != I64 || hdr.Len() != 1 || hdr.GetI64(0) != 7 {
+		t.Errorf("re-pointed view = %s len %d", hdr.Type(), hdr.Len())
+	}
+}
+
+func TestReuseGrowsOnlyWhenNeeded(t *testing.T) {
+	v := Reuse(nil, I64, 8)
+	if v.Len() != 8 || v.Cap() != 8 {
+		t.Fatalf("fresh len/cap = %d/%d", v.Len(), v.Cap())
+	}
+	if w := Reuse(v, I64, 3); w != v || w.Len() != 3 {
+		t.Error("Reuse reallocated a vector with enough capacity")
+	}
+	if w := Reuse(v, I64, 9); w == v || w.Len() != 9 {
+		t.Error("Reuse kept an undersized vector")
+	}
+	if w := Reuse(v, F64, 2); w == v || w.Type() != F64 {
+		t.Error("Reuse kept a vector of the wrong type")
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	v := FromStr([]string{"a", "b"})
 	c := v.Clone()
@@ -129,7 +162,7 @@ func TestBatchLiveAndSelectivity(t *testing.T) {
 func TestBatchCompact(t *testing.T) {
 	b := NewBatch(FromI32([]int32{10, 20, 30, 40}), FromStr([]string{"a", "b", "c", "d"}))
 	b.Sel = []int32{1, 3}
-	c := b.Compact()
+	c := b.CompactInto(nil)
 	if c.Sel != nil || c.N != 2 {
 		t.Fatalf("compact: sel=%v n=%d", c.Sel, c.N)
 	}
@@ -138,13 +171,6 @@ func TestBatchCompact(t *testing.T) {
 	}
 	if c.Cols[1].Str()[0] != "b" || c.Cols[1].Str()[1] != "d" {
 		t.Errorf("compact col1 = %v", c.Cols[1].Str())
-	}
-}
-
-func TestBatchCompactNoSelIsIdentity(t *testing.T) {
-	b := NewBatch(FromI32([]int32{1}))
-	if b.Compact() != b {
-		t.Error("Compact without selection should return the batch itself")
 	}
 }
 
@@ -182,7 +208,7 @@ func TestIntersectSel(t *testing.T) {
 	}
 }
 
-// Property: Compact preserves exactly the selected values, in order.
+// Property: CompactInto preserves exactly the selected values, in order.
 func TestCompactProperty(t *testing.T) {
 	f := func(vals []int64, picks []uint8) bool {
 		if len(vals) == 0 {
@@ -200,7 +226,7 @@ func TestCompactProperty(t *testing.T) {
 		}
 		b := NewBatch(FromI64(vals))
 		b.Sel = sel
-		c := b.Compact()
+		c := b.CompactInto(nil)
 		if c.N != len(sel) {
 			return false
 		}
